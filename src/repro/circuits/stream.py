@@ -28,9 +28,11 @@ Chunk-stream conventions
 The passes reuse the exact code paths of the materialized flow wherever
 the work is row-local (the vectorized SWAP/Fredkin/Toffoli template
 expansions run unchanged on each chunk); only the genuinely global state
-— ancilla naming, peephole adjacency, IIG insertion order, critical-path
-chains — is threaded across chunks by hand, mirroring the materialized
-implementations statement for statement.
+— ancilla naming, peephole adjacency, IIG insertion order — is threaded
+across chunks by hand, mirroring the materialized implementations
+statement for statement.  The critical-path chains need no mirror: the
+materialized sweep's own :class:`~repro.qodg.sweep.ChainSweep` is fed
+one chunk at a time.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ import numpy as np
 from ..exceptions import CircuitError, DecompositionError, ParseError
 from ..obs import default_registry as _obs_registry
 from ..obs import record_span, span as obs_span
-from .gates import GateKind, KIND_CODES, KINDS_BY_CODE, kind_from_name
+from .gates import KINDS_BY_CODE, kind_from_name
 from .generators import _RANDOM_FT_ONE_QUBIT
 from .parser import _append_from_operands, _parse_real_gate
 from .table import (
@@ -1107,9 +1109,10 @@ def estimate_stream(
     ``(kind, o0, o1)`` to temporary files; the model stages (zones,
     uncongested latency, queueing) then run on the accumulated arrays
     through the *same* :class:`~repro.core.pipeline.StagedPipeline`
-    stage methods as the materialized path, and the second pass replays
-    the spilled columns through the critical-path recurrence with carry
-    state across chunk boundaries.  Every field of the returned
+    stage methods as the materialized path, and the second pass feeds
+    the spilled columns, chunk by chunk, to the same resumable
+    :class:`~repro.qodg.sweep.ChainSweep` the in-memory sweep runs
+    once.  Every field of the returned
     :class:`~repro.core.estimator.LatencyEstimate` except
     ``elapsed_seconds`` is bitwise-identical to
     ``StagedPipeline(**options).run(Circuit.from_table(assemble(chunks)),
@@ -1128,8 +1131,8 @@ def estimate_stream(
     """
     from ..core.estimator import LatencyEstimate
     from ..core.pipeline import StagedPipeline, _node_delay_table
-    from ..exceptions import EstimationError
-    from ..qodg.critical_path import CriticalPathResult
+    from ..qodg.critical_path import backtrack, node_delays
+    from ..qodg.sweep import ChainSweep
 
     started = time.perf_counter()
     pipeline = StagedPipeline(cache=None, **options)
@@ -1178,17 +1181,10 @@ def estimate_stream(
         l_avg_cnot, surfaces = pipeline._queueing_stage(
             shim, zones, d_uncong, params
         )
-        kind_table = _node_delay_table(params, l_avg_cnot)
-        lut = np.full(len(KINDS_BY_CODE), -1.0)
-        for kind, value in kind_table.items():
-            lut[KIND_CODES[kind]] = value
-        # Pass 2: the exact _sweep_critical_path_table recurrence with
-        # carry state, over the spilled columns.
-        qubit_dist = [0.0] * num_qubits
-        qubit_last = [-1] * num_qubits
-        overall_best = 0.0
-        overall_last = -1
-        base = 0
+        delay_by_kind = _node_delay_table(params, l_avg_cnot)
+        # Pass 2: the chain sweep resumed chunk by chunk over the spilled
+        # columns, spilling each row's predecessor for the backtrack.
+        sweep = ChainSweep(num_qubits)
         with ops_path.open("rb") as ops_file, \
                 preds_path.open("wb") as preds_file:
             for rows in chunk_rows:
@@ -1197,78 +1193,30 @@ def estimate_stream(
                     metric="stream.stage.seconds",
                     stage="critical",
                 ) as sp:
-                    codes_arr = np.load(ops_file, allow_pickle=False)
+                    codes = np.load(ops_file, allow_pickle=False)
                     o0 = np.load(ops_file, allow_pickle=False)
                     o1 = np.load(ops_file, allow_pickle=False)
-                    delays = lut[codes_arr]
-                    if delays.size and float(delays.min()) < 0:
-                        offender = int(np.argmax(delays < 0))
-                        bad = KINDS_BY_CODE[int(codes_arr[offender])]
-                        raise EstimationError(
-                            f"gate kind {bad.value!r} is not an FT "
-                            "operation; run synthesize_ft() before "
-                            "estimating"
-                        )
-                    ops_a = o0.tolist()
-                    ops_b = o1.tolist()
-                    gate_delays = delays.tolist()
-                    best_pred = np.empty(rows, dtype=np.int64)
-                    for index, qubit_a in enumerate(ops_a):
-                        best = qubit_dist[qubit_a]
-                        pred = qubit_last[qubit_a] if best > 0.0 else -1
-                        if best <= 0.0:
-                            best = 0.0
-                            pred = -1
-                        qubit_b = ops_b[index]
-                        if qubit_b >= 0:
-                            chain = qubit_dist[qubit_b]
-                            if chain > best:
-                                best = chain
-                                pred = qubit_last[qubit_b]
-                        total = best + gate_delays[index]
-                        best_pred[index] = pred
-                        node = base + index
-                        qubit_dist[qubit_a] = total
-                        qubit_last[qubit_a] = node
-                        if qubit_b >= 0:
-                            qubit_dist[qubit_b] = total
-                            qubit_last[qubit_b] = node
-                        if total > overall_best:
-                            overall_best = total
-                            overall_last = node
-                    preds_file.write(best_pred.tobytes())
+                    preds = sweep.feed(
+                        node_delays(codes, delay_by_kind), o0, o1
+                    )
+                    preds_file.write(
+                        np.asarray(preds, dtype=np.int64).tobytes()
+                    )
                     sp.annotate(rows=rows)
-                base += rows
                 _obs_registry().inc("stream.rows", rows, stage="critical")
                 if profile is not None:
                     profile.add("critical", rows, sp.seconds)
         # Backtrack through the spilled predecessor/kind columns.
-        path: list[int] = []
         if op_count:
-            preds = np.memmap(preds_path, dtype=np.int64, mode="r")
-            kinds_mm = np.memmap(kinds_path, dtype=np.int8, mode="r")
-            node = overall_last
-            while node != -1:
-                path.append(node)
-                node = int(preds[node])
-            path.reverse()
-            counts: dict[GateKind, int] = {}
-            for node in path:
-                kind = KINDS_BY_CODE[int(kinds_mm[node])]
-                counts[kind] = counts.get(kind, 0) + 1
-            del preds, kinds_mm
+            # A memoryview indexes to plain ints, as the in-memory lists do.
+            preds = memoryview(
+                np.memmap(preds_path, dtype=np.int64, mode="r")
+            )
+            kinds = np.memmap(kinds_path, dtype=np.int8, mode="r")
         else:
-            counts = {}
-        node_ids = tuple(path)
-        # The tuple shares the int objects; dropping the list now frees
-        # its slot array (8 B/node) before the result is assembled.
-        del path
-        result = CriticalPathResult(
-            length=overall_best,
-            node_ids=node_ids,
-            counts_by_kind=counts,
-            cnot_count=counts.get(GateKind.CNOT, 0),
-        )
+            preds = kinds = np.empty(0, dtype=np.int8)
+        result = backtrack(preds, kinds, sweep.last, sweep.length)
+        del preds, kinds
     elapsed = time.perf_counter() - started
     return LatencyEstimate(
         latency=result.length,

@@ -13,8 +13,9 @@ Pipeline, with the paper's line numbers:
 5.  congested latencies ``d_q`` (Eq. 8) and the average CNOT routing
     latency ``L_CNOT^avg`` (line 18, Eq. 2),
 6.  update the QODG node delays — ``d_CNOT + L_CNOT^avg`` for CNOTs,
-    ``d_g + 2 T_move`` for one-qubit kinds — and take the critical path
-    (lines 19-20, Eq. 1), returning the latency ``D``.
+    ``d_g + 2 T_move`` for one-qubit kinds, one per-kind table — and
+    take the critical path (lines 19-20, Eq. 1) with the single-pass
+    chain sweep of :mod:`repro.qodg.sweep`, returning the latency ``D``.
 
 The estimate object keeps every intermediate quantity so benches and tests
 can inspect the model, plus the wall-clock time used (the paper's Table 3
@@ -35,10 +36,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Mapping
 
 from ..circuits.circuit import Circuit
-from ..circuits.gates import Gate
+from ..circuits.gates import GateKind
 from ..exceptions import EstimationError
 from ..fabric.params import DEFAULT_PARAMS, PhysicalParams
 from ..qodg.critical_path import CriticalPathResult, critical_path
@@ -263,18 +264,18 @@ class LEQAEstimator:
             return 0.0, tuple(surfaces)
         return weighted / total_surface, tuple(surfaces)
 
-    def node_delay(self, l_avg_cnot: float) -> Callable[[Gate], float]:
-        """Per-gate delay callable for the routing-aware critical path.
+    def node_delay(self, l_avg_cnot: float) -> Mapping[GateKind, float]:
+        """Per-kind node delays of the routing-aware critical path.
 
         CNOT nodes cost ``d_CNOT + L_CNOT^avg``; one-qubit nodes cost
-        ``d_g + 2 T_move``.  The routing additions are folded into a
-        per-kind table once so the per-gate call is a single lookup.
-        Delegates to the pipeline's shared table builder so the scalar
-        oracle and the vectorized stage graph apply one rule.
+        ``d_g + 2 T_move``.  Looking up a kind outside the FT set raises
+        :class:`EstimationError`.  Delegates to the pipeline's shared
+        table builder so the scalar oracle and the vectorized stage graph
+        apply one rule.
         """
-        from .pipeline import _delay_callable, _node_delay_table
+        from .pipeline import _node_delay_table
 
-        return _delay_callable(_node_delay_table(self._params, l_avg_cnot))
+        return _node_delay_table(self._params, l_avg_cnot)
 
     # -- entry points -------------------------------------------------------
 
@@ -331,11 +332,11 @@ class LEQAEstimator:
         l_avg_cnot, surfaces = self.average_cnot_latency(  # lines 9-18
             circuit.num_qubits, zones, d_uncong
         )
-        delay = self.node_delay(l_avg_cnot)              # lines 19-20
+        delay_by_kind = self.node_delay(l_avg_cnot)      # lines 19-20
         if qodg is None:
-            result = sweep_critical_path(circuit, delay)
+            result = sweep_critical_path(circuit, delay_by_kind)
         else:
-            result = critical_path(qodg, delay)
+            result = critical_path(qodg, delay_by_kind)
         elapsed = time.perf_counter() - started
         return LatencyEstimate(
             latency=result.length,

@@ -40,31 +40,26 @@ Stage graph (parameter aspects in brackets)::
                                                 │
                         delays [gate_delays, t_move]
                                                 │
-                             ops ──▶ critical ──▶ D
+                                    critical ──▶ D
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Sequence
+from typing import TYPE_CHECKING, Hashable, Iterable, Sequence
 
 import numpy as np
 
 from ..circuits.circuit import Circuit
-from ..circuits.gates import Gate, GateKind
+from ..circuits.gates import GateKind
 from ..exceptions import EstimationError
 from ..fabric.params import PhysicalParams
 from ..obs import span as obs_span
 from ..qodg.critical_path import critical_path
 from ..qodg.graph import QODG
 from ..qodg.iig import IIG, build_iig
-from ..qodg.sweep import (
-    CompiledOps,
-    compile_ops,
-    sweep_critical_path,
-    sweep_critical_path_lengths,
-)
+from ..qodg.sweep import sweep_critical_path, sweep_critical_path_lengths
 from .coverage import (
     DEFAULT_MAX_TERMS,
     expected_coverage_surface,
@@ -156,11 +151,10 @@ STAGE_ORDER: tuple[StageSpec, ...] = (
         ("queueing",),
         "per-kind node-delay table (Eq. 1 inputs)",
     ),
-    StageSpec("ops", (), (), "flat critical-path topology of the circuit"),
     StageSpec(
         "critical",
         (),
-        ("delays", "ops"),
+        ("delays",),
         "longest path of the routing-aware QODG (Eq. 1)",
     ),
 )
@@ -327,34 +321,32 @@ class SweepPoint:
         return self.latency * 1e-6
 
 
+class _FTDelays(dict):
+    """Per-kind node delays of the FT gate set.
+
+    Looking up any other kind is an :class:`EstimationError`, so every
+    critical-path entry point rejects a non-FT circuit with one message.
+    """
+
+    def __missing__(self, kind: GateKind) -> float:
+        raise EstimationError(
+            f"gate kind {kind.value!r} is not an FT operation; "
+            "run synthesize_ft() before estimating"
+        )
+
+
 def _node_delay_table(
     params: PhysicalParams, l_avg_cnot: float
 ) -> dict[GateKind, float]:
     """Per-kind node delays: ``d_CNOT + L_CNOT^avg`` / ``d_g + 2 T_move``."""
     one_qubit_routing = params.one_qubit_routing_latency
-    table: dict[GateKind, float] = {}
+    table = _FTDelays()
     for kind, base in params.delays.by_kind().items():
         if kind is GateKind.CNOT:
             table[kind] = base + l_avg_cnot
         else:
             table[kind] = base + one_qubit_routing
     return table
-
-
-def _delay_callable(table: dict[GateKind, float]) -> Callable[[Gate], float]:
-    def delay(gate: Gate) -> float:
-        try:
-            return table[gate.kind]
-        except KeyError:
-            raise EstimationError(
-                f"gate kind {gate.kind.value!r} is not an FT operation; "
-                "run synthesize_ft() before estimating"
-            ) from None
-
-    # Expose the per-kind table so sweep_critical_path can run its
-    # Gate-free column recurrence on table-backed circuits.
-    delay.kind_table = table
-    return delay
 
 
 class StagedPipeline:
@@ -538,10 +530,6 @@ class StagedPipeline:
 
         return self._stage("queueing", key, build)
 
-    def _ops_stage(self, circuit: Circuit) -> CompiledOps:
-        key = circuit.content_fingerprint()
-        return self._stage("ops", key, lambda: compile_ops(circuit))
-
     # -- entry points -------------------------------------------------------
 
     def run(
@@ -555,9 +543,11 @@ class StagedPipeline:
         """Evaluate one parameter point, with the full critical path.
 
         Stages are pulled through the cache (when present) under their
-        parameter-slice keys; the critical path itself runs the scalar
-        single-pass sweep so the result carries the complete
-        :class:`~repro.qodg.critical_path.CriticalPathResult`.
+        parameter-slice keys; the critical path itself runs the
+        single-pass chain sweep (or, given ``qodg``, the explicit-graph
+        pass) under the per-kind node-delay table, so the result carries
+        the complete :class:`~repro.qodg.critical_path.CriticalPathResult`.
+        A gate kind outside the FT set raises :class:`EstimationError`.
         """
         from .estimator import LatencyEstimate
 
@@ -568,8 +558,7 @@ class StagedPipeline:
         l_avg_cnot, surfaces = self._queueing_stage(
             circuit, zones, d_uncong, params
         )
-        table = _node_delay_table(params, l_avg_cnot)
-        delay = _delay_callable(table)
+        delay_by_kind = _node_delay_table(params, l_avg_cnot)
         # The critical path is deliberately NOT cached: distinct parameter
         # points almost never repeat a delay table exactly, and each
         # materialized CriticalPathResult holds the whole gate path —
@@ -581,9 +570,9 @@ class StagedPipeline:
             stage="critical",
         ):
             if qodg is not None:
-                result = critical_path(qodg, delay)
+                result = critical_path(qodg, delay_by_kind)
             else:
-                result = sweep_critical_path(circuit, delay)
+                result = sweep_critical_path(circuit, delay_by_kind)
         elapsed = time.perf_counter() - started
         return LatencyEstimate(
             latency=result.length,
@@ -611,8 +600,8 @@ class StagedPipeline:
         delay-only Table-1 sensitivity grid therefore builds zones,
         Hamiltonian paths and the coverage series exactly once); and the
         critical-path recurrence runs **batched** — a single forward
-        pass over the gates computes every point's length simultaneously.
-        Per-point latencies are bitwise equal to
+        pass over the circuit's table columns computes every point's
+        length simultaneously.  Per-point latencies are bitwise equal to
         :meth:`run`'s on the same parameters.
         """
         grid = list(params_list)
@@ -631,7 +620,6 @@ class StagedPipeline:
             )
             return worker.sweep(circuit, grid, iig=iig)
         zones = self._zones_stage(circuit, iig)
-        compiled = self._ops_stage(circuit)
         rows: list[tuple[PhysicalParams, float, float, dict[GateKind, float]]]
         rows = []
         for params in grid:
@@ -643,17 +631,9 @@ class StagedPipeline:
                 (params, d_uncong, l_avg_cnot,
                  _node_delay_table(params, l_avg_cnot))
             )
-        tables = np.empty((len(compiled.kinds), len(rows)))
-        for column, (_, _, _, table) in enumerate(rows):
-            for row, kind in enumerate(compiled.kinds):
-                try:
-                    tables[row, column] = table[kind]
-                except KeyError:
-                    raise EstimationError(
-                        f"gate kind {kind.value!r} is not an FT operation; "
-                        "run synthesize_ft() before estimating"
-                    ) from None
-        lengths = sweep_critical_path_lengths(compiled, tables)
+        lengths = sweep_critical_path_lengths(
+            circuit, [table for _, _, _, table in rows]
+        )
         return [
             SweepPoint(
                 params=params,

@@ -12,14 +12,17 @@ from Cormen et al., chapter 24).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping, Sequence
 
-from ..circuits.gates import Gate, GateKind
+import numpy as np
+
+from ..circuits.gates import KINDS_BY_CODE, GateKind
 from ..exceptions import GraphError
 from .graph import QODG
 
-__all__ = ["CriticalPathResult", "critical_path", "delays_from_mapping"]
+__all__ = ["CriticalPathResult", "backtrack", "critical_path", "node_delays"]
 
 
 @dataclass(frozen=True)
@@ -46,45 +49,96 @@ class CriticalPathResult:
     cnot_count: int
 
 
-def delays_from_mapping(
-    delay_by_kind: Mapping[GateKind, float],
-) -> Callable[[Gate], float]:
-    """Adapt a kind→delay mapping into the per-gate callable
-    :func:`critical_path` expects.
+def node_delays(
+    codes: np.ndarray, delay_by_kind: Mapping[GateKind, float]
+) -> np.ndarray:
+    """Per-row node delays of a kind-code column.
+
+    ``codes`` is a :class:`~repro.circuits.table.GateTable` ``kind``
+    column (or any array of kind codes); row ``i`` of the result is
+    ``delay_by_kind[KINDS_BY_CODE[codes[i]]]``.  Each kind present is
+    looked up once, through ``__getitem__``, so a mapping may raise its
+    own error for kinds it does not accept.
 
     Raises
     ------
     GraphError
-        At lookup time, if a gate kind is missing from the mapping.
+        If a present kind is missing from the mapping, or its delay is
+        negative or not finite.
     """
-
-    def delay(gate: Gate) -> float:
+    present = np.bincount(codes, minlength=len(KINDS_BY_CODE))
+    lut = np.zeros(len(KINDS_BY_CODE))
+    for code in np.flatnonzero(present).tolist():
+        kind = KINDS_BY_CODE[code]
         try:
-            return float(delay_by_kind[gate.kind])
+            value = float(delay_by_kind[kind])
         except KeyError:
             raise GraphError(
-                f"no delay registered for gate kind {gate.kind.value!r}"
+                f"no delay registered for gate kind {kind.value!r}"
             ) from None
+        if not math.isfinite(value):
+            raise GraphError(
+                f"non-finite delay {value} for gate kind {kind.value!r}"
+            )
+        if value < 0:
+            raise GraphError(
+                f"negative delay {value} for gate kind {kind.value!r}"
+            )
+        lut[code] = value
+    return lut[codes]
 
-    # Expose the mapping so critical_path/sweep_critical_path can run
-    # their Gate-free column recurrences on table-backed circuits.
-    delay.kind_table = dict(delay_by_kind)
-    return delay
+
+def backtrack(
+    preds: Sequence[int], codes: np.ndarray, last: int, length: float
+) -> CriticalPathResult:
+    """Follow predecessor links back from ``last`` into a result.
+
+    ``preds[node]`` is the node's predecessor on its longest chain (-1 at
+    the chain head) and ``codes`` the kind-code column the path's kinds
+    are counted from (it may be memory-mapped).  ``counts_by_kind``
+    lists kinds in order of first occurrence along the path.
+    """
+    path: list[int] = []
+    node = last
+    while node != -1:
+        path.append(node)
+        node = preds[node]
+    path.reverse()
+    node_ids = tuple(path)
+    del path
+    # Count on the path's kind codes, one byte per node: the streamed
+    # estimator's working set must stay small beside the node tuple.
+    path_codes = codes[
+        np.fromiter(node_ids, dtype=np.int64, count=len(node_ids))
+    ]
+    found = []
+    for code, kind in enumerate(KINDS_BY_CODE):
+        on_path = path_codes == code
+        count = int(np.count_nonzero(on_path))
+        if count:
+            found.append((int(on_path.argmax()), kind, count))
+    counts_by_kind = {kind: count for _, kind, count in sorted(found)}
+    return CriticalPathResult(
+        length=length,
+        node_ids=node_ids,
+        counts_by_kind=counts_by_kind,
+        cnot_count=counts_by_kind.get(GateKind.CNOT, 0),
+    )
 
 
 def critical_path(
-    qodg: QODG, delay: Callable[[Gate], float]
+    qodg: QODG, delay_by_kind: Mapping[GateKind, float]
 ) -> CriticalPathResult:
-    """Longest start-to-end path of the QODG under per-gate delays.
+    """Longest start-to-end path of the QODG under per-kind delays.
 
     Parameters
     ----------
     qodg:
         The dependency graph.
-    delay:
-        Callable mapping each :class:`Gate` to its node delay (operation
-        delay plus, in LEQA's usage, the average routing latency of its
-        kind).  Start and end nodes have zero delay.
+    delay_by_kind:
+        Node delay of each gate kind (operation delay plus, in LEQA's
+        usage, the average routing latency of the kind).  Start and end
+        nodes have zero delay.
 
     Returns
     -------
@@ -95,96 +149,32 @@ def critical_path(
     -----
     An empty circuit yields length 0 and an empty path.  Ties between
     equally-long predecessor paths are broken toward the smaller node id,
-    making results deterministic.
+    making results deterministic.  This explicit-graph pass is the
+    independent oracle of :func:`repro.qodg.sweep.sweep_critical_path`.
     """
-    num_ops = qodg.num_ops
-    start, end = qodg.start, qodg.end
-    # dist[node] = longest path length ending at (and including) node.
-    dist = [0.0] * (num_ops + 2)
-    best_pred = [-1] * (num_ops + 2)
-    circuit = qodg.circuit
-    # Gate-free fast path: a per-kind delay callable (it carries a
-    # ``kind_table``, as the pipeline's node-delay callables do) on a
-    # table-backed circuit resolves every node delay from the flat kind
-    # column — no Gate objects, same floats.  Missing kinds fall back to
-    # the callable so its error surfaces unchanged; negative delays
-    # raise here exactly as the per-gate check would, at the first
-    # offending node in program order.
-    node_delays: list[float] | None = None
-    codes: list[int] | None = None
-    kind_table = getattr(delay, "kind_table", None)
-    table = circuit.table_if_ready() if kind_table is not None else None
-    if table is not None:
-        import numpy as np
-
-        from ..circuits.gates import KIND_CODES, KINDS_BY_CODE
-
-        lut = np.full(len(KINDS_BY_CODE), np.nan)
-        for kind, value in kind_table.items():
-            lut[KIND_CODES[kind]] = value
-        resolved = lut[table.kind]
-        if not (resolved.size and np.isnan(resolved).any()):
-            if resolved.size and float(resolved.min()) < 0:
-                offender = int(np.argmax(resolved < 0))
-                raise GraphError(
-                    f"negative delay {resolved[offender]} for gate "
-                    f"{table.gate(offender)}"
-                )
-            node_delays = resolved.tolist()
-            codes = table.kind.tolist()
-    gates = circuit.gates if node_delays is None else None
+    codes = qodg.circuit.table().kind
+    delays = node_delays(codes, delay_by_kind).tolist()
+    # dist[node] = longest path length ending at (and including) node;
+    # the start node keeps 0.0 and is never chosen as a predecessor.
+    dist = [0.0] * (qodg.num_ops + 2)
+    best_pred = [-1] * qodg.num_ops
     # Hot path: read the adjacency lists directly rather than through the
-    # bounds-checked accessor (this loop dominates LEQA's runtime).
+    # bounds-checked accessor.
     all_preds, _ = qodg._lists()
-    for node in range(num_ops):
+    for node, delay in enumerate(delays):
         best = 0.0
-        pred_choice = start
+        pred_choice = -1
         for pred in all_preds[node]:
             pred_dist = dist[pred]
             if pred_dist > best:
                 best = pred_dist
                 pred_choice = pred
-        if node_delays is not None:
-            node_delay = node_delays[node]
-        else:
-            node_delay = delay(gates[node])
-            if node_delay < 0:
-                raise GraphError(
-                    f"negative delay {node_delay} for gate {gates[node]}"
-                )
-        dist[node] = best + node_delay
+        dist[node] = best + delay
         best_pred[node] = pred_choice
     best = 0.0
-    pred_choice = start
-    for pred in all_preds[end]:
+    last = -1
+    for pred in all_preds[qodg.end]:
         if dist[pred] > best:
             best = dist[pred]
-            pred_choice = pred
-    dist[end] = best
-    best_pred[end] = pred_choice
-
-    # Backtrack the path.
-    path: list[int] = []
-    node = best_pred[end]
-    while node != start and node != -1:
-        path.append(node)
-        node = best_pred[node]
-    path.reverse()
-
-    counts: dict[GateKind, int] = {}
-    if codes is not None:
-        from ..circuits.gates import KINDS_BY_CODE
-
-        for node in path:
-            kind = KINDS_BY_CODE[codes[node]]
-            counts[kind] = counts.get(kind, 0) + 1
-    else:
-        for node in path:
-            kind = gates[node].kind
-            counts[kind] = counts.get(kind, 0) + 1
-    return CriticalPathResult(
-        length=dist[end],
-        node_ids=tuple(path),
-        counts_by_kind=counts,
-        cnot_count=counts.get(GateKind.CNOT, 0),
-    )
+            last = pred
+    return backtrack(best_pred, codes, last, best)

@@ -14,10 +14,10 @@ All passes are O(V + E) sweeps over the topologically ordered QODG.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Mapping
 
-from ..circuits.gates import Gate
-from ..exceptions import GraphError
+from ..circuits.gates import GateKind
+from .critical_path import node_delays
 from .graph import QODG
 
 __all__ = ["SlackAnalysis", "analyze_slack", "critical_set_shift"]
@@ -55,7 +55,7 @@ class SlackAnalysis:
 
 
 def analyze_slack(
-    qodg: QODG, delay: Callable[[Gate], float]
+    qodg: QODG, delay_by_kind: Mapping[GateKind, float]
 ) -> SlackAnalysis:
     """Compute ASAP/ALAP times and slack for every operation node.
 
@@ -63,18 +63,12 @@ def analyze_slack(
     ----------
     qodg:
         The dependency graph.
-    delay:
-        Per-gate delay callable (same contract as
+    delay_by_kind:
+        Node delay of each gate kind (same contract as
         :func:`repro.qodg.critical_path.critical_path`).
     """
     num_ops = qodg.num_ops
-    gates = qodg.circuit.gates
-    durations = [float(delay(gates[node])) for node in range(num_ops)]
-    for node, duration in enumerate(durations):
-        if duration < 0:
-            raise GraphError(
-                f"negative delay {duration} for gate {gates[node]}"
-            )
+    durations = node_delays(qodg.circuit.table().kind, delay_by_kind).tolist()
     # Both sweeps read the CSR (structure-of-arrays) core: flat index
     # ranges instead of per-node tuple-allocating accessors.
     csr = qodg.csr()
@@ -121,8 +115,8 @@ def analyze_slack(
 
 def critical_set_shift(
     qodg: QODG,
-    delay_without_routing: Callable[[Gate], float],
-    delay_with_routing: Callable[[Gate], float],
+    delay_without_routing: Mapping[GateKind, float],
+    delay_with_routing: Mapping[GateKind, float],
 ) -> dict[str, tuple[int, ...]]:
     """How the zero-slack set changes when routing latencies are added.
 

@@ -15,13 +15,17 @@ in operation count with a constant far below the detailed mapper's.
 as :func:`repro.qodg.critical_path.critical_path`; only tie-breaking
 between equally long paths may differ.
 
+The recurrence lives in one resumable object, :class:`ChainSweep`: it
+keeps the per-qubit chain state between :meth:`~ChainSweep.feed` calls,
+so the in-memory sweep feeds it a whole circuit once and the streamed
+estimator (:func:`repro.circuits.stream.estimate_stream`) feeds it one
+spilled chunk at a time.
+
 Parameter sweeps add a second shape of demand: the *same* circuit under
 *many* per-kind delay tables (a Table-1 sensitivity grid, a fabric-size
 sweep — every point changes only the node delays reaching the critical
-path).  :func:`compile_ops` lowers the circuit once into a flat,
-parameter-free operand/kind table, and
-:func:`sweep_critical_path_lengths` runs the forward pass for all delay
-tables simultaneously — the per-qubit chain state becomes a
+path).  :func:`sweep_critical_path_lengths` runs the forward pass for all
+delay tables simultaneously — the per-qubit chain state becomes a
 ``(num_qubits, num_tables)`` array and each gate is one ``maximum`` plus
 one add over the batch axis.  Per point this is several times cheaper
 than repeating the scalar sweep, and the per-point lengths are *bitwise*
@@ -30,241 +34,104 @@ equal to it (same IEEE operations in the same order).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from ..circuits.circuit import Circuit
-from ..circuits.gates import Gate, GateKind
+from ..circuits.gates import KINDS_BY_CODE, GateKind
 from ..exceptions import GraphError
-from .critical_path import CriticalPathResult
+from .critical_path import CriticalPathResult, backtrack, node_delays
 
 __all__ = [
-    "CompiledOps",
-    "compile_ops",
+    "ChainSweep",
     "sweep_critical_path",
     "sweep_critical_path_lengths",
 ]
 
 
-@dataclass(frozen=True)
-class CompiledOps:
-    """Parameter-free critical-path topology of one circuit.
+class ChainSweep:
+    """Resumable per-qubit chain recurrence over rows of gates.
 
-    The circuit's gate list lowered to primitive tuples the batched sweep
-    consumes without touching :class:`~repro.circuits.gates.Gate` objects:
-    ``ops[i] = (kind_index, qubit_a, qubit_b)`` with ``qubit_b = -1`` for
-    one-operand gates, and ``kinds[kind_index]`` the corresponding
-    :class:`GateKind`.  Depends only on circuit content, so the engine
-    cache can build it once per circuit and reuse it across every
-    parameter grid.
+    Rows are numbered consecutively across :meth:`feed` calls.  After
+    any feed, :attr:`length` is the longest chain so far and
+    :attr:`last` the row it ends at (-1 while every chain is empty);
+    :func:`~repro.qodg.critical_path.backtrack` over the concatenated
+    predecessor lists recovers the path.
     """
 
-    num_qubits: int
-    ops: tuple[tuple[int, int, int], ...]
-    kinds: tuple[GateKind, ...]
+    def __init__(self, num_qubits: int) -> None:
+        # Longest chain ending at each qubit's last gate, and that gate's
+        # row (-1 = the virtual start node).
+        self._dist = [0.0] * num_qubits
+        self._last = [-1] * num_qubits
+        self.rows = 0
+        self.length = 0.0
+        self.last = -1
 
-    def __len__(self) -> int:
-        return len(self.ops)
+    def feed(
+        self, delays: np.ndarray, o0: np.ndarray, o1: np.ndarray
+    ) -> list[int]:
+        """Advance over one chunk of rows; return each row's predecessor.
+
+        ``o0``/``o1`` are the operand columns of
+        :meth:`~repro.circuits.table.GateTable.operand_pairs` (``o1 = -1``
+        for one-qubit gates) and ``delays`` the rows' node delays.  Ties
+        go to the first operand, and a zero-length chain has no
+        predecessor.
+        """
+        dist = self._dist
+        last = self._last
+        length = self.length
+        tail = self.last
+        preds: list[int] = []
+        append = preds.append
+        start = self.rows
+        for node, qubit_a, qubit_b, delay in zip(
+            range(start, start + len(delays)),
+            o0.tolist(),
+            o1.tolist(),
+            delays.tolist(),
+        ):
+            best = dist[qubit_a]
+            pred = last[qubit_a] if best > 0.0 else -1
+            if qubit_b >= 0:
+                chain = dist[qubit_b]
+                if chain > best:
+                    best = chain
+                    pred = last[qubit_b]
+                total = best + delay
+                dist[qubit_b] = total
+                last[qubit_b] = node
+            else:
+                total = best + delay
+            append(pred)
+            dist[qubit_a] = total
+            last[qubit_a] = node
+            if total > length:
+                length = total
+                tail = node
+        self.rows = start + len(delays)
+        self.length = length
+        self.last = tail
+        return preds
 
 
-def _compile_ops_from_table(table, num_qubits: int) -> CompiledOps:
-    """Vectorized :func:`compile_ops` over a flat gate table."""
-    from ..circuits.gates import KINDS_BY_CODE
-
-    arities = table.arities()
-    if len(arities) and int(arities.max()) > 2:
+def _operand_pairs(table) -> tuple[np.ndarray, np.ndarray]:
+    """The table's operand columns, rejecting gates on three or more qubits."""
+    if len(table) and table.max_operands() > 2:
+        arities = table.arities()
         offender = int(np.argmax(arities > 2))
         raise GraphError(
-            f"compile_ops supports one- and two-qubit gates only; "
-            f"gate kind {table.gate_kind(offender).value!r} touches "
+            f"the critical-path sweep supports one- and two-qubit gates "
+            f"only; gate kind {table.gate_kind(offender).value!r} touches "
             f"{int(arities[offender])} qubits (run FT synthesis first)"
         )
-    codes = table.kind
-    # Kind table in first-occurrence order (matches the dict-insertion
-    # order of the object path).
-    unique_codes, first_idx = np.unique(codes, return_index=True)
-    by_first = np.argsort(first_idx, kind="stable")
-    unique_codes = unique_codes[by_first]
-    lut = np.zeros(len(KINDS_BY_CODE), dtype=np.int64)
-    lut[unique_codes] = np.arange(len(unique_codes))
-    o0, o1 = table.operand_pairs()
-    ops = tuple(
-        zip(lut[codes].tolist(), o0.tolist(), o1.tolist())
-    )
-    kinds = tuple(KINDS_BY_CODE[code] for code in unique_codes.tolist())
-    return CompiledOps(num_qubits=num_qubits, ops=ops, kinds=kinds)
-
-
-def compile_ops(circuit: Circuit) -> CompiledOps:
-    """Lower a circuit to the flat operand/kind table of the batched sweep.
-
-    Table-backed circuits compile vectorized from the flat
-    :class:`~repro.circuits.table.GateTable` columns; object-built ones
-    walk their gates.  Both produce identical compiled tables.
-
-    Raises
-    ------
-    GraphError
-        If a gate touches more than two qubits (the FT gate set — the
-        only one the estimator accepts — is all one- and two-qubit
-        gates; decompose first).
-    """
-    table = circuit.table_if_ready()
-    if table is not None:
-        return _compile_ops_from_table(table, circuit.num_qubits)
-    kind_index: dict[GateKind, int] = {}
-    kinds: list[GateKind] = []
-    ops: list[tuple[int, int, int]] = []
-    for gate in circuit.gates:
-        operands = gate.controls + gate.targets
-        if len(operands) > 2:
-            raise GraphError(
-                f"compile_ops supports one- and two-qubit gates only; "
-                f"gate kind {gate.kind.value!r} touches {len(operands)} "
-                "qubits (run FT synthesis first)"
-            )
-        index = kind_index.get(gate.kind)
-        if index is None:
-            index = kind_index[gate.kind] = len(kinds)
-            kinds.append(gate.kind)
-        qubit_b = operands[1] if len(operands) == 2 else -1
-        ops.append((index, operands[0], qubit_b))
-    return CompiledOps(
-        num_qubits=circuit.num_qubits, ops=tuple(ops), kinds=tuple(kinds)
-    )
-
-
-def sweep_critical_path_lengths(
-    compiled: CompiledOps, delay_tables: np.ndarray | Sequence[Sequence[float]]
-) -> np.ndarray:
-    """Critical-path lengths of one circuit under many delay tables.
-
-    Parameters
-    ----------
-    compiled:
-        The circuit's :func:`compile_ops` topology.
-    delay_tables:
-        Array of shape ``(len(compiled.kinds), num_tables)``: row ``k``
-        holds the node delay of gate kind ``compiled.kinds[k]`` at every
-        sweep point (operation delay plus the point's routing latency).
-
-    Returns
-    -------
-    numpy.ndarray
-        ``num_tables`` lengths; entry ``t`` is bitwise equal to
-        ``sweep_critical_path(circuit, delay_t).length`` for the delay
-        callable described by column ``t``.
-    """
-    tables = np.ascontiguousarray(delay_tables, dtype=float)
-    if tables.ndim != 2 or tables.shape[0] != len(compiled.kinds):
-        raise GraphError(
-            f"delay_tables must have shape ({len(compiled.kinds)}, "
-            f"num_tables), got {tables.shape}"
-        )
-    if tables.size and tables.min() < 0:
-        raise GraphError("negative delay in batched critical-path tables")
-    num_tables = tables.shape[1]
-    if not len(compiled.ops) or not compiled.num_qubits:
-        return np.zeros(num_tables)
-    # Chain state per qubit, batched over the table axis.  Kept as a
-    # list of row arrays so a gate's update *rebinds* its operand rows
-    # to the freshly allocated chain vector instead of copying into a
-    # 2D array — every row is written whole, never mutated, so sharing
-    # (including the single initial zero row) is safe.  Entries are
-    # non-decreasing, so the final elementwise maximum over rows is the
-    # overall longest-path length at every point.
-    zero = np.zeros(num_tables)
-    dist: list[np.ndarray] = [zero] * compiled.num_qubits
-    rows = [tables[index] for index in range(len(compiled.kinds))]
-    maximum = np.maximum
-    for kind, qubit_a, qubit_b in compiled.ops:
-        if qubit_b >= 0:
-            total = maximum(dist[qubit_a], dist[qubit_b])
-            total += rows[kind]
-            dist[qubit_a] = total
-            dist[qubit_b] = total
-        else:
-            dist[qubit_a] = dist[qubit_a] + rows[kind]
-    return np.max(np.vstack(dist), axis=0)
-
-
-def _sweep_critical_path_table(
-    table, num_qubits: int, kind_table: dict[GateKind, float]
-) -> CriticalPathResult | None:
-    """Table-column twin of :func:`sweep_critical_path`.
-
-    Runs the same recurrence over primitive int rows — no Gate
-    materialization — when every gate kind appears in ``kind_table``
-    with a non-negative delay.  Returns ``None`` when it cannot take the
-    fast path (missing kind, negative delay, arity > 2), so the caller
-    falls back to the object loop and its exact error behaviour.
-    """
-    from ..circuits.gates import KIND_CODES, KINDS_BY_CODE
-
-    if len(table) and table.max_operands() > 2:
-        return None
-    lut = np.full(len(KINDS_BY_CODE), -1.0)
-    for kind, value in kind_table.items():
-        lut[KIND_CODES[kind]] = value
-    delays = lut[table.kind]
-    if delays.size and float(delays.min()) < 0:
-        return None
-    o0, o1 = table.operand_pairs()
-    codes = table.kind.tolist()
-    ops_a = o0.tolist()
-    ops_b = o1.tolist()
-    gate_delays = delays.tolist()
-    qubit_dist = [0.0] * num_qubits
-    qubit_last = [-1] * num_qubits
-    best_pred = [-1] * len(codes)
-    overall_best = 0.0
-    overall_last = -1
-    for index, qubit_a in enumerate(ops_a):
-        best = qubit_dist[qubit_a]
-        pred = qubit_last[qubit_a] if best > 0.0 else -1
-        # Mirror the object loop: `chain > best` starting from 0.0, so a
-        # zero-length chain keeps pred = -1 (the virtual start node).
-        if best <= 0.0:
-            best = 0.0
-            pred = -1
-        qubit_b = ops_b[index]
-        if qubit_b >= 0:
-            chain = qubit_dist[qubit_b]
-            if chain > best:
-                best = chain
-                pred = qubit_last[qubit_b]
-        total = best + gate_delays[index]
-        best_pred[index] = pred
-        qubit_dist[qubit_a] = total
-        qubit_last[qubit_a] = index
-        if qubit_b >= 0:
-            qubit_dist[qubit_b] = total
-            qubit_last[qubit_b] = index
-        if total > overall_best:
-            overall_best = total
-            overall_last = index
-    path: list[int] = []
-    node = overall_last
-    while node != -1:
-        path.append(node)
-        node = best_pred[node]
-    path.reverse()
-    counts: dict[GateKind, int] = {}
-    for node in path:
-        kind = KINDS_BY_CODE[codes[node]]
-        counts[kind] = counts.get(kind, 0) + 1
-    return CriticalPathResult(
-        length=overall_best,
-        node_ids=tuple(path),
-        counts_by_kind=counts,
-        cnot_count=counts.get(GateKind.CNOT, 0),
-    )
+    return table.operand_pairs()
 
 
 def sweep_critical_path(
-    circuit: Circuit, delay: Callable[[Gate], float]
+    circuit: Circuit, delay_by_kind: Mapping[GateKind, float]
 ) -> CriticalPathResult:
     """Longest dependency-chain latency of a circuit in one pass.
 
@@ -272,73 +139,57 @@ def sweep_critical_path(
     :func:`repro.qodg.critical_path.critical_path`, without constructing
     the graph.  See that function for the result contract.
 
-    When ``delay`` is a per-kind table callable (it exposes a
-    ``kind_table`` mapping, as the pipeline's node-delay callables do)
-    and the circuit is table-backed, the recurrence runs over the flat
-    int columns without materializing Gate objects — bitwise-identical
-    result, same IEEE operations in the same order.
+    Raises
+    ------
+    GraphError
+        For a missing, negative or non-finite kind delay (see
+        :func:`~repro.qodg.critical_path.node_delays`), or a gate on
+        more than two qubits.
     """
-    kind_table = getattr(delay, "kind_table", None)
-    if kind_table is not None:
-        table = circuit.table_if_ready()
-        if table is not None:
-            result = _sweep_critical_path_table(
-                table, circuit.num_qubits, kind_table
-            )
-            if result is not None:
-                return result
-    gates = circuit.gates
-    num_qubits = circuit.num_qubits
-    # Longest chain length ending at each qubit's last gate, and that
-    # gate's index (-1 = the virtual start node).
-    qubit_dist = [0.0] * num_qubits
-    qubit_last = [-1] * num_qubits
-    dist = [0.0] * len(gates)
-    best_pred = [-1] * len(gates)
-    overall_best = 0.0
-    overall_last = -1
-    for index, gate in enumerate(gates):
-        best = 0.0
-        pred = -1
-        for qubit in gate.controls:
-            chain = qubit_dist[qubit]
-            if chain > best:
-                best = chain
-                pred = qubit_last[qubit]
-        for qubit in gate.targets:
-            chain = qubit_dist[qubit]
-            if chain > best:
-                best = chain
-                pred = qubit_last[qubit]
-        gate_delay = delay(gate)
-        if gate_delay < 0:
-            raise GraphError(f"negative delay {gate_delay} for gate {gate}")
-        total = best + gate_delay
-        dist[index] = total
-        best_pred[index] = pred
-        for qubit in gate.controls:
-            qubit_dist[qubit] = total
-            qubit_last[qubit] = index
-        for qubit in gate.targets:
-            qubit_dist[qubit] = total
-            qubit_last[qubit] = index
-        if total > overall_best:
-            overall_best = total
-            overall_last = index
-    # Backtrack the chain.
-    path: list[int] = []
-    node = overall_last
-    while node != -1:
-        path.append(node)
-        node = best_pred[node]
-    path.reverse()
-    counts: dict[GateKind, int] = {}
-    for node in path:
-        kind = gates[node].kind
-        counts[kind] = counts.get(kind, 0) + 1
-    return CriticalPathResult(
-        length=overall_best,
-        node_ids=tuple(path),
-        counts_by_kind=counts,
-        cnot_count=counts.get(GateKind.CNOT, 0),
-    )
+    table = circuit.table()
+    delays = node_delays(table.kind, delay_by_kind)
+    o0, o1 = _operand_pairs(table)
+    chain = ChainSweep(circuit.num_qubits)
+    preds = chain.feed(delays, o0, o1)
+    return backtrack(preds, table.kind, chain.last, chain.length)
+
+
+def sweep_critical_path_lengths(
+    circuit: Circuit, delay_tables: Sequence[Mapping[GateKind, float]]
+) -> np.ndarray:
+    """Critical-path lengths of one circuit under many delay tables.
+
+    Returns one length per table; entry ``t`` is bitwise equal to
+    ``sweep_critical_path(circuit, delay_tables[t]).length``.  Raises
+    exactly as :func:`sweep_critical_path` does.
+    """
+    table = circuit.table()
+    codes = table.kind
+    present = np.flatnonzero(np.bincount(codes, minlength=len(KINDS_BY_CODE)))
+    luts = np.zeros((len(KINDS_BY_CODE), len(delay_tables)))
+    for column, delay_by_kind in enumerate(delay_tables):
+        luts[present, column] = node_delays(present, delay_by_kind)
+    o0, o1 = _operand_pairs(table)
+    if not len(table):
+        return np.zeros(len(delay_tables))
+    # Chain state per qubit, batched over the table axis.  Kept as a
+    # list of row arrays so a gate's update *rebinds* its operand rows
+    # to the freshly allocated chain vector instead of copying into a
+    # 2D array — every row is written whole, never mutated, so sharing
+    # (including the single initial zero row) is safe.  Entries are
+    # non-decreasing, so the final elementwise maximum over rows is the
+    # overall longest-path length at every point.
+    dist = [np.zeros(len(delay_tables))] * circuit.num_qubits
+    rows = list(luts)
+    maximum = np.maximum
+    for code, qubit_a, qubit_b in zip(
+        codes.tolist(), o0.tolist(), o1.tolist()
+    ):
+        if qubit_b >= 0:
+            total = maximum(dist[qubit_a], dist[qubit_b])
+            total += rows[code]
+            dist[qubit_a] = total
+            dist[qubit_b] = total
+        else:
+            dist[qubit_a] = dist[qubit_a] + rows[code]
+    return np.max(np.vstack(dist), axis=0)

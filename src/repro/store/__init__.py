@@ -4,8 +4,8 @@ Two modules:
 
 * :mod:`repro.store.codec` — a typed binary codec (numpy ``.npz``
   containers, no pickle) that round-trips every array-native pipeline
-  artifact bitwise: gate tables, IIG/QODG CSR arrays, compiled op
-  tables, placements, schedules and latency estimates;
+  artifact bitwise: gate tables, IIG/QODG CSR arrays, compiled mapper
+  QODGs, placements, schedules and latency estimates;
 * :mod:`repro.store.store` — :class:`ArtifactStore`, a content-addressed
   sharded on-disk store with atomic publishing, per-key advisory file
   locks (build-once across processes) and LRU byte-budget GC.

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits.circuit import Circuit
-from repro.circuits.gates import cnot, h, t, tdg, toffoli, x
+from repro.circuits.gates import GateKind, cnot, h, t, tdg, toffoli, x
 from repro.core.coverage import expected_coverage_surfaces
 from repro.core.estimator import LEQAEstimator
 from repro.core.pipeline import (
@@ -37,7 +37,6 @@ from repro.exceptions import EngineError, EstimationError, GraphError
 from repro.fabric.params import DEFAULT_PARAMS, FabricSpec, PhysicalParams
 from repro.qodg.iig import build_iig
 from repro.qodg.sweep import (
-    compile_ops,
     sweep_critical_path,
     sweep_critical_path_lengths,
 )
@@ -223,7 +222,7 @@ class TestBatchedSweep:
         StagedPipeline(cache=cache).sweep(adder_ft, grid)
         stats = cache.stats()
         for stage in ("iig", "zones", "ham", "uncong", "coverage",
-                      "queueing", "ops"):
+                      "queueing"):
             assert stats.miss_count(stage) == 1, stage
         assert stats.hit_count("uncong") == len(grid) - 1
         assert stats.hit_count("queueing") == len(grid) - 1
@@ -231,7 +230,7 @@ class TestBatchedSweep:
     def test_non_ft_circuit_rejected(self):
         circuit = Circuit(3)
         circuit.append(toffoli(0, 1, 2))
-        with pytest.raises((EstimationError, GraphError)):
+        with pytest.raises(EstimationError, match="not an FT operation"):
             StagedPipeline().sweep(circuit, [DEFAULT_PARAMS])
 
     def test_latency_seconds(self, adder_ft):
@@ -249,45 +248,42 @@ class TestBatchedCriticalPath:
     def test_lengths_bitwise_equal_scalar_sweep(
         self, circuit, seed, num_tables
     ):
-        compiled = compile_ops(circuit)
         rng = np.random.default_rng(seed)
-        tables = rng.uniform(
-            0.5, 20.0, size=(len(compiled.kinds), num_tables)
+        kinds = sorted(
+            {gate.kind for gate in circuit.gates}, key=lambda k: k.value
         )
-        lengths = sweep_critical_path_lengths(compiled, tables)
+        tables = [
+            dict(zip(kinds, rng.uniform(0.5, 20.0, size=len(kinds))))
+            for _ in range(num_tables)
+        ]
+        lengths = sweep_critical_path_lengths(circuit, tables)
         assert lengths.shape == (num_tables,)
-        for column in range(num_tables):
-            table = {
-                kind: tables[row, column]
-                for row, kind in enumerate(compiled.kinds)
-            }
-            scalar = sweep_critical_path(circuit, lambda g: table[g.kind])
+        for column, table in enumerate(tables):
+            scalar = sweep_critical_path(circuit, table)
             assert scalar.length == lengths[column]
 
     def test_empty_circuit(self):
-        compiled = compile_ops(Circuit(3))
-        lengths = sweep_critical_path_lengths(
-            compiled, np.empty((0, 4))
-        )
+        lengths = sweep_critical_path_lengths(Circuit(3), [{}] * 4)
         assert np.array_equal(lengths, np.zeros(4))
 
     def test_three_qubit_gate_rejected(self):
         circuit = Circuit(3)
         circuit.append(toffoli(0, 1, 2))
         with pytest.raises(GraphError, match="one- and two-qubit"):
-            compile_ops(circuit)
+            sweep_critical_path_lengths(circuit, [{GateKind.TOFFOLI: 1.0}])
 
     def test_negative_delay_rejected(self, tiny_ft_circuit):
-        compiled = compile_ops(tiny_ft_circuit)
-        tables = np.full((len(compiled.kinds), 2), 1.0)
-        tables[0, 1] = -1.0
+        tables = [
+            {gate.kind: 1.0 for gate in tiny_ft_circuit.gates}
+            for _ in range(2)
+        ]
+        tables[1][GateKind.H] = -1.0
         with pytest.raises(GraphError, match="negative delay"):
-            sweep_critical_path_lengths(compiled, tables)
+            sweep_critical_path_lengths(tiny_ft_circuit, tables)
 
-    def test_bad_table_shape_rejected(self, tiny_ft_circuit):
-        compiled = compile_ops(tiny_ft_circuit)
-        with pytest.raises(GraphError, match="shape"):
-            sweep_critical_path_lengths(compiled, np.ones(3))
+    def test_missing_kind_rejected(self, tiny_ft_circuit):
+        with pytest.raises(GraphError, match="no delay registered"):
+            sweep_critical_path_lengths(tiny_ft_circuit, [{GateKind.H: 1.0}])
 
 
 class TestStageGraphDeclarations:

@@ -2,7 +2,7 @@
 
 The GateTable IR refactor's contract: for every circuit the library can
 produce, the table passes (parse, FT synthesis, peephole optimization)
-and the table-built CSR cores (QODG, IIG, compiled ops) are **bitwise
+and the table-built CSR cores (QODG, IIG) and critical paths are **bitwise
 identical** to the legacy object implementations — same gate streams,
 same ancilla names, same adjacency arrays, same LEQA latencies, same
 mapper schedules.
@@ -44,7 +44,7 @@ from repro.engine.runner import sweep_workload, BatchRunner
 from repro.fabric.params import DEFAULT_PARAMS
 from repro.qodg.graph import build_qodg
 from repro.qodg.iig import build_iig
-from repro.qodg.sweep import compile_ops
+from repro.qodg.sweep import sweep_critical_path
 from repro.qspr.mapper import QSPRMapper
 
 
@@ -151,13 +151,16 @@ class TestFrontEndEquivalence:
         for field in ("indptr", "indices", "weights", "degrees", "weight_sums"):
             assert np.array_equal(getattr(fa, field), getattr(sa, field)), field
 
-    def test_compiled_ops_identical(self, label, make):
+    def test_critical_path_identical(self, label, make):
         ft = synthesize_ft(make(), engine="table")
-        fast = compile_ops(ft)
-        slow = compile_ops(_object_backed(ft))
-        assert fast.kinds == slow.kinds
-        assert fast.ops == slow.ops
-        assert fast.num_qubits == slow.num_qubits
+        delays = DEFAULT_PARAMS.delays.by_kind()
+        fast = sweep_critical_path(ft, delays)
+        slow = sweep_critical_path(_object_backed(ft), delays)
+        assert fast.length == slow.length
+        assert fast.node_ids == slow.node_ids
+        assert list(fast.counts_by_kind.items()) == list(
+            slow.counts_by_kind.items()
+        )
 
     def test_fingerprints_agree_across_backings(self, label, make):
         circuit = make()
