@@ -1,19 +1,22 @@
-"""Array-native mapper speedup: slot-indexed engine vs the scalar oracle.
+"""Mapper speed: the array engine's wall time and the compiled kernel's
+speedup over it.
 
 The paper's Table 3 story (LEQA's ~1000x over a detailed mapper) made the
 pure-Python mapper the bottleneck of every accuracy/runtime sweep.  This
-bench pins the array-native rewrite's contract:
+bench times ``map_circuit`` on the calibration benchmark under the array
+engine and pins the compiled kernel's contract:
 
-* **identical physics** — the slot-indexed engine must reproduce the
-  legacy scheduler's latency, per-op finish times and movement statistics
-  bit for bit, and
-* **speed** — ``map_circuit`` on the calibration benchmark must run at
-  least 5x faster than the legacy (scalar-oracle) engine.
+* **identical physics** — the kernel must reproduce the array engine's
+  latency, per-op finish times and movement statistics bit for bit
+  (both engines are also pinned to the golden schedule digests of
+  ``tests/test_scheduling_equivalence.py``), and
+* **speed** — the kernel must run at least 2x faster than the array
+  engine.
 
-Each run also appends the measurement to ``BENCH_mapper.json`` (wall
-time + speedup vs the scalar oracle) and fails if the speedup regressed
-by more than 2x against the recorded baseline — the perf-trajectory
-guard the CI smoke job relies on.
+The kernel run also appends its measurement to ``BENCH_mapper.json``
+(wall time + speedup over the array engine) and fails if the speedup
+regressed by more than 2x against the recorded baseline — the
+perf-trajectory guard the CI smoke job relies on.
 """
 
 from __future__ import annotations
@@ -32,9 +35,6 @@ from _common import (
 
 BENCH = "gf2^16mult"
 
-#: Asserted floor for the array engine over the legacy engine.
-SPEEDUP_FLOOR = 5.0
-
 #: Asserted floor for the compiled kernel over the array engine.
 KERNEL_SPEEDUP_FLOOR = 2.0
 
@@ -51,44 +51,13 @@ def _best_wall(mapper: QSPRMapper, circuit, rounds: int) -> float:
     return best
 
 
-def test_array_mapper_speed_and_equivalence(benchmark):
+def test_array_mapper_speed(benchmark):
     smoke = os.environ.get("REPRO_SMOKE") == "1"
     rounds = 2 if smoke else 4
     circuit = ft_circuit(BENCH)
-    legacy_mapper = QSPRMapper(params=DEFAULT_PARAMS, engine="legacy")
     array_mapper = QSPRMapper(params=DEFAULT_PARAMS, engine="array")
-
-    legacy = legacy_mapper.map(circuit)
-    array = array_mapper.map(circuit)
-    # Bitwise-identical schedule: same latency, same per-op finish times,
-    # same final qubit locations, same movement statistics.
-    assert array.latency == legacy.latency
-    assert array.schedule.finish_times == legacy.schedule.finish_times
-    assert array.schedule.final_locations == legacy.schedule.final_locations
-    assert array.schedule.stats == legacy.schedule.stats
-
-    legacy_wall = _best_wall(legacy_mapper, circuit, rounds)
     array_wall = _best_wall(array_mapper, circuit, rounds)
-    speedup = legacy_wall / array_wall
-    print(
-        f"\nmapper speedup on {BENCH}: {speedup:.2f}x "
-        f"(legacy {legacy_wall * 1000:.1f} ms, array "
-        f"{array_wall * 1000:.1f} ms)"
-    )
-    assert speedup >= SPEEDUP_FLOOR, (
-        f"array mapper only {speedup:.2f}x faster than the scalar oracle "
-        f"(floor {SPEEDUP_FLOOR}x)"
-    )
-
-    key = "smoke" if smoke else "full"
-    baseline = recorded_mapper_speedup(key)
-    if baseline is not None:
-        assert speedup >= baseline / REGRESSION_FACTOR, (
-            f"mapper speedup regressed more than {REGRESSION_FACTOR}x: "
-            f"{speedup:.2f}x now vs {baseline:.2f}x recorded"
-        )
-    record_mapper_trajectory(key, BENCH, array_wall, speedup)
-
+    print(f"\narray mapper on {BENCH}: {array_wall * 1000:.1f} ms")
     benchmark.pedantic(
         array_mapper.map, args=(circuit,), rounds=1, iterations=1
     )

@@ -216,13 +216,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     mapper.add_argument(
         "--engine",
         default="array",
-        choices=("array", "kernel", "legacy"),
+        choices=("array", "kernel"),
         help=(
-            "scheduler engine: array (vectorized numpy, default), kernel "
-            "(compiled C; auto-built with the system compiler, falls back "
-            "to array with a warning when unavailable) or legacy "
-            "(reference oracle); all three produce bitwise-identical "
-            "schedules"
+            "scheduler engine: array (slot-indexed pure Python, default) "
+            "or kernel (the same loop in C; auto-built with the system "
+            "compiler, falls back to array with a warning when "
+            "unavailable); both produce bitwise-identical schedules"
         ),
     )
 

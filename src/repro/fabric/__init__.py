@@ -1,11 +1,9 @@
-"""Tiled quantum architecture: physical parameters, geometry, channels."""
+"""Tiled quantum architecture: physical parameters and geometry."""
 
-from .channels import ChannelNetwork
 from .params import DEFAULT_PARAMS, FabricSpec, GateDelays, PhysicalParams
 from .tqa import Channel, Position, TQA
 
 __all__ = [
-    "ChannelNetwork",
     "DEFAULT_PARAMS",
     "FabricSpec",
     "GateDelays",

@@ -8,7 +8,7 @@ from .placement import (
     random_placement,
     row_major_placement,
 )
-from .routing import RoutedMove, Router, SlotRouter
+from .routing import SlotRouter
 from .scheduling import (
     CompiledQODG,
     ScheduleResult,
@@ -35,8 +35,6 @@ __all__ = [
     "make_placement",
     "random_placement",
     "row_major_placement",
-    "RoutedMove",
-    "Router",
     "SlotRouter",
     "CompiledQODG",
     "ScheduleResult",

@@ -3,12 +3,12 @@
  * A statement-for-statement translation of _schedule_array
  * (scheduling.py) plus SlotRouter (routing.py) into C, built as a
  * shared object by _kernel.py at first use.  Bitwise identity with the
- * Python engines is a hard contract: every floating-point expression
+ * array engine is a hard contract: every floating-point expression
  * below performs the same IEEE binary64 operations in the same order as
  * its Python counterpart (the build disables FP contraction so no FMA
  * changes a rounding), heap tie-breaks compare (reach, node) exactly
- * like the Python (reach, node, box) tuples, and the channel-slot
- * reservation discipline mirrors ChannelNetwork's min-heaps.
+ * like the Python (reach, node, box) tuples, and the channel slots are
+ * the same per-channel min-heaps of slot-free times.
  *
  * The interface is one function, leqa_schedule(), taking the compiled
  * op arrays and returning finish times, final locations and the
@@ -16,6 +16,7 @@
  */
 
 #include <math.h>
+#include <stdint.h>
 #include <stdlib.h>
 
 typedef long long i64;
@@ -281,7 +282,7 @@ static i64 dijkstra(Ctx *c, i64 source, i64 target, double departure) {
         if (arrival > best[here_box])
             continue; /* stale heap entry */
         i64 by = here_box % box_h;
-        /* neighbours in legacy order: west, east, north, south */
+        /* neighbours west, east, north, south (SlotRouter's order) */
         if (here_box >= box_h) {
             i64 nxt = here - height;
             i64 nxt_box = here_box - box_h;
@@ -507,8 +508,9 @@ static int do_move(Ctx *c, i64 source, i64 target, double departure,
 
 /* ---- the scheduling loop (_schedule_array) ------------------------- */
 
-/* Returns 0 on success, 1 on allocation failure, 2 on a router error
- * (unreachable target — impossible on a connected grid, defensive). */
+/* Returns 0 on success, 1 on allocation failure (including a slot table
+ * too large to address), 2 on a router error (unreachable target —
+ * impossible on a connected grid, defensive). */
 int leqa_schedule(i64 num_ops, i64 num_qubits, const i64 *op_q0,
                   const i64 *op_q1, const double *op_delay,
                   const i64 *visit_order, i64 width, i64 height,
@@ -517,6 +519,10 @@ int leqa_schedule(i64 num_ops, i64 num_qubits, const i64 *op_q0,
     i64 num_nodes = width * height;
     i64 vbase = (width - 1) * height;
     i64 num_channels = vbase + num_nodes;
+    /* The slot table holds num_channels * capacity doubles; a capacity
+     * that makes that product overflow must fail before any allocation. */
+    if (capacity > (i64)(SIZE_MAX / sizeof(double)) / num_channels)
+        return 1;
     Ctx ctx;
     ctx.width = width;
     ctx.height = height;

@@ -9,7 +9,7 @@ move never loads a stale binary), and exposes the result through
 
 No third-party build machinery: a single ``cc -O2 -shared`` invocation,
 with ``-ffp-contract=off`` so no fused-multiply-add changes a rounding —
-the kernel's contract is *bitwise* identity with the Python engines.
+the kernel's contract is *bitwise* identity with the array engine.
 Everything degrades loudly but gracefully: when no compiler exists (or
 the compile fails), :func:`load` raises and the scheduler falls back to
 ``engine="array"`` with a warning.
@@ -35,6 +35,8 @@ __all__ = ["available", "load", "schedule_arrays", "kernel_cache_dir"]
 _SOURCE = Path(__file__).with_name("_kernel.c")
 
 _CFLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off"]
+
+_I64_MAX = 2**63 - 1
 
 _lib: ctypes.CDLL | None = None
 _load_error: Exception | None = None
@@ -179,9 +181,14 @@ def schedule_arrays(
     Raises
     ------
     RuntimeError
-        If the kernel is unavailable or reports a failure.
+        If the kernel is unavailable, ``capacity`` does not fit a signed
+        64-bit integer, or the kernel reports a failure (status 1 when
+        the channel-slot table cannot be allocated).
     """
     lib = load()
+    if capacity > _I64_MAX:
+        # ctypes would silently wrap it to a small or zero capacity.
+        raise RuntimeError(f"channel capacity {capacity} exceeds 64 bits")
     num_ops = len(delays)
     q0 = np.ascontiguousarray(q0, dtype=np.int64)
     q1 = np.ascontiguousarray(q1, dtype=np.int64)

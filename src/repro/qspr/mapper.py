@@ -74,8 +74,8 @@ class MappingResult:
         Wall time per mapper stage (``iig`` / ``qodg`` / ``placement`` /
         ``schedule``); a cached stage costs its lookup only.
     engine:
-        Scheduler engine that produced the schedule (``"array"``,
-        ``"kernel"`` or ``"legacy"``).  Note this is the engine the
+        Scheduler engine that produced the schedule (``"array"`` or
+        ``"kernel"``).  Note this is the engine the
         mapper *requested*: a ``"kernel"`` run that fell back (no C
         compiler) still reports ``"kernel"`` and emits a
         :class:`RuntimeWarning` at schedule time.
@@ -123,11 +123,10 @@ class QSPRMapper:
         (list scheduling by ALAP priority).
     engine:
         Scheduler engine, ``"array"`` (default; slot-indexed
-        structure-of-arrays), ``"kernel"`` (compiled C translation of
+        structure-of-arrays) or ``"kernel"`` (compiled C translation of
         the array loop; auto-built with the system compiler and falls
         back to ``"array"`` with a :class:`RuntimeWarning` when
-        unavailable) or ``"legacy"`` (reference oracle); all three
-        produce bitwise-identical schedules.
+        unavailable); both produce bitwise-identical schedules.
     cache:
         Optional :class:`~repro.engine.cache.ArtifactCache`; when given,
         the compiled QODG, placement and schedule become staged cache
@@ -161,7 +160,7 @@ class QSPRMapper:
 
     @property
     def engine(self) -> str:
-        """Scheduler engine in use (``"array"``, ``"kernel"`` or ``"legacy"``)."""
+        """Scheduler engine in use (``"array"`` or ``"kernel"``)."""
         return self._engine
 
     def map(self, circuit: Circuit, iig: IIG | None = None) -> MappingResult:
@@ -236,17 +235,13 @@ class QSPRMapper:
 
     # -- staged builders ----------------------------------------------------
 
-    def _compiled(
-        self, circuit: Circuit, delays: dict, cache
-    ) -> CompiledQODG | None:
+    def _compiled(self, circuit: Circuit, delays: dict, cache) -> CompiledQODG:
         """The compiled op arrays, staged in the cache when one is given.
 
         The artifact is fabric-independent: its key is the circuit
         content plus the delay table, so one compile serves a whole
-        fabric-size sweep.  The legacy engine ignores it.
+        fabric-size sweep.
         """
-        if self._engine == "legacy":
-            return None
         if cache is None:
             return compile_qodg(circuit, delays)
         key = (circuit.content_fingerprint(), delays_table_token(delays))
@@ -307,7 +302,7 @@ class QSPRMapper:
             self._routing,
             self._scheduling,
             self._record_trace,
-            # All engines produce bitwise-identical schedules, but keying
+            # Both engines produce bitwise-identical schedules, but keying
             # them separately keeps engine comparisons honest: a shared
             # cache must never serve one engine's result as the other's
             # measurement (or mask an equivalence regression).

@@ -1,4 +1,4 @@
-"""Unit tests for the fabric layer (params, TQA geometry, channels)."""
+"""Unit tests for the fabric layer (params, TQA geometry, channel slots)."""
 
 from __future__ import annotations
 
@@ -6,9 +6,9 @@ import pytest
 
 from repro.circuits.gates import GateKind
 from repro.exceptions import FabricError
-from repro.fabric.channels import ChannelNetwork
 from repro.fabric.params import DEFAULT_PARAMS, FabricSpec, GateDelays, PhysicalParams
 from repro.fabric.tqa import TQA
+from repro.qspr.routing import SlotRouter
 
 
 class TestGateDelays:
@@ -147,72 +147,62 @@ class TestTQA:
             tqa.position(20)
 
 
-class TestChannelNetwork:
+def _one_channel(capacity: int, t_move: float, length: int = 1):
+    """A ``(length + 1) x 1`` fabric: one straight line of channels, so
+    every journey east from node 0 crosses channels ``0 .. length - 1``
+    and no detour exists."""
+    return SlotRouter(length + 1, 1, capacity=capacity, t_move=t_move)
+
+
+class TestChannelSlots:
+    """Channel-slot reservations of the scheduler's router: each channel
+    passes ``N_c`` qubits per ``T_move`` interval and queues the rest."""
+
     def test_uncongested_traversal_takes_t_move(self):
-        net = ChannelNetwork(capacity=2, t_move=100.0)
-        channel = ((0, 0), (1, 0))
-        assert net.traverse(channel, 0.0) == 100.0
+        router = _one_channel(capacity=2, t_move=100.0)
+        assert router.move(0, 1, 0.0) == (100.0, 1, 0.0)
 
     def test_capacity_concurrent_traversals_unpenalized(self):
-        net = ChannelNetwork(capacity=3, t_move=100.0)
-        channel = ((0, 0), (1, 0))
+        router = _one_channel(capacity=3, t_move=100.0)
         for _ in range(3):
-            assert net.traverse(channel, 0.0) == 100.0
-        assert net.total_wait == 0.0
+            assert router.move(0, 1, 0.0)[0] == 100.0
+        assert router.total_wait == 0.0
 
     def test_overflow_traversal_queues(self):
-        net = ChannelNetwork(capacity=2, t_move=100.0)
-        channel = ((0, 0), (1, 0))
-        net.traverse(channel, 0.0)
-        net.traverse(channel, 0.0)
+        router = _one_channel(capacity=2, t_move=100.0)
+        router.move(0, 1, 0.0)
+        router.move(0, 1, 0.0)
         # Third qubit must wait for a slot freeing at t=100.
-        assert net.traverse(channel, 0.0) == 200.0
-        assert net.total_wait == 100.0
+        assert router.move(0, 1, 0.0) == (200.0, 1, 100.0)
+        assert router.total_wait == 100.0
+
+    def test_queued_crossing_holds_its_slot_until_it_crosses(self):
+        router = _one_channel(capacity=1, t_move=50.0)
+        arrivals = [router.move(0, 1, 0.0)[0] for _ in range(3)]
+        assert arrivals == [50.0, 100.0, 150.0]
+        assert router.total_wait == 150.0
 
     def test_slots_free_over_time(self):
-        net = ChannelNetwork(capacity=1, t_move=50.0)
-        channel = ((0, 0), (1, 0))
-        assert net.traverse(channel, 0.0) == 50.0
+        router = _one_channel(capacity=1, t_move=50.0)
+        assert router.move(0, 1, 0.0)[0] == 50.0
         # Arriving after the slot freed: no wait.
-        assert net.traverse(channel, 60.0) == 110.0
-        assert net.total_wait == 0.0
+        assert router.move(0, 1, 60.0)[0] == 110.0
+        assert router.total_wait == 0.0
 
-    def test_peek_start_matches_traverse_without_reserving(self):
-        net = ChannelNetwork(capacity=1, t_move=100.0)
-        channel = ((0, 0), (1, 0))
-        net.traverse(channel, 0.0)
-        assert net.peek_start(channel, 10.0) == 100.0
-        # Peeking twice gives the same answer (no reservation happened).
-        assert net.peek_start(channel, 10.0) == 100.0
-
-    def test_peek_on_fresh_channel(self):
-        net = ChannelNetwork(capacity=1, t_move=100.0)
-        assert net.peek_start(((0, 0), (1, 0)), 42.0) == 42.0
-
-    def test_traverse_path_sequences_hops(self):
-        net = ChannelNetwork(capacity=5, t_move=100.0)
-        path = [((0, 0), (1, 0)), ((1, 0), (2, 0))]
-        assert net.traverse_path(path, 0.0) == 200.0
+    def test_path_sequences_hops(self):
+        router = _one_channel(capacity=5, t_move=100.0, length=2)
+        assert router.move(0, 2, 0.0) == (200.0, 2, 0.0)
 
     def test_statistics(self):
-        net = ChannelNetwork(capacity=1, t_move=10.0)
-        channel = ((0, 0), (0, 1))
-        net.traverse(channel, 0.0)
-        net.traverse(channel, 0.0)
-        assert net.total_traversals == 2
-        assert net.traversals_of(channel) == 2
-        assert net.busiest_channels(1) == [(channel, 2)]
-
-    def test_reset(self):
-        net = ChannelNetwork(capacity=1, t_move=10.0)
-        channel = ((0, 0), (0, 1))
-        net.traverse(channel, 0.0)
-        net.reset()
-        assert net.total_traversals == 0
-        assert net.traverse(channel, 0.0) == 10.0
+        router = _one_channel(capacity=1, t_move=10.0)
+        router.move(0, 1, 0.0)
+        router.move(0, 1, 0.0)
+        assert router.total_moves == 2
+        assert router.total_hops == 2
+        assert router.total_wait == 10.0
 
     def test_invalid_construction(self):
         with pytest.raises(FabricError):
-            ChannelNetwork(capacity=0, t_move=10.0)
+            SlotRouter(2, 1, capacity=0, t_move=10.0)
         with pytest.raises(FabricError):
-            ChannelNetwork(capacity=1, t_move=0.0)
+            SlotRouter(2, 1, capacity=1, t_move=0.0)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 
 from repro.circuits.circuit import Circuit
@@ -82,15 +84,23 @@ class TestArrayEngineFacade:
         }
         assert all(wall >= 0.0 for wall in result.stage_seconds.values())
 
-    def test_engines_agree_through_facade(self, params):
-        array = QSPRMapper(params=params, engine="array").map(ham3())
-        legacy = QSPRMapper(params=params, engine="legacy").map(ham3())
-        assert array.latency == legacy.latency
-        assert array.schedule.finish_times == legacy.schedule.finish_times
+    @pytest.mark.parametrize("engine", ["array", "kernel"])
+    def test_facade_matches_golden_digest(self, engine):
+        from test_scheduling_equivalence import CASES, check_golden
+
+        case = CASES["facade/ham3"]()
+        check_golden("facade/ham3", case, case.run(engine))
 
     def test_map_circuit_engine_passthrough(self, params):
-        assert map_circuit(ham3(), params=params, engine="legacy").latency == \
-            map_circuit(ham3(), params=params).latency
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            kernel = map_circuit(ham3(), params=params, engine="kernel")
+        assert kernel.engine == "kernel"
+        assert kernel.latency == map_circuit(ham3(), params=params).latency
+
+    def test_legacy_engine_rejected(self, params):
+        with pytest.raises(MappingError, match="unknown scheduler engine"):
+            QSPRMapper(params=params, engine="legacy").map(ham3())
 
     def test_cached_mapper_shares_stages(self, params):
         from repro.engine import ArtifactCache

@@ -133,6 +133,20 @@ class TestJobQueue:
         assert snapshot["error"]
         assert "Error" in snapshot["traceback"]
 
+    def test_unknown_scheduler_engine_fails_the_job(self):
+        with JobQueue(workers=1) as queue:
+            job_id = queue.submit(
+                {
+                    "source": "ham3",
+                    "backend": "qspr",
+                    "params": {"width": 12, "height": 12},
+                    "options": {"engine": "legacy"},
+                }
+            )
+            snapshot = queue.result(job_id, timeout=60)
+        assert snapshot["state"] == "failed"
+        assert "unknown scheduler engine" in snapshot["error"]
+
     def test_unknown_job_id(self):
         queue = JobQueue(workers=1)
         with pytest.raises(ServiceError, match="unknown job id"):
